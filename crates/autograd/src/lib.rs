@@ -35,4 +35,4 @@ mod params;
 mod tape;
 
 pub use params::{ParamId, ParamStore};
-pub use tape::{ForwardOverride, Tape, TraceOp, Var};
+pub use tape::{Tape, TraceOp, Var};

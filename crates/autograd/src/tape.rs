@@ -6,31 +6,7 @@ use bikecap_tensor::conv::{
 };
 use bikecap_tensor::Tensor;
 
-use std::sync::Arc;
-
 use crate::params::{ParamId, ParamStore};
-
-/// A forward-value override consulted by [`Tape::matmul`] and
-/// [`Tape::conv3d`] when the weight operand is a parameter leaf.
-///
-/// This is the eager half of the quantized inference contract: an
-/// implementation (e.g. `bikecap-quant`'s `QuantSet`) recognises specific
-/// parameters and computes the op's forward value through its own kernel
-/// body, returning `None` to fall back to the stock f32 path. The compiled
-/// executor dispatches through the same kernel bodies keyed by the same
-/// parameter ids, which is what keeps eager ≡ compiled bitwise on the
-/// quantized path. Overridden values feed inference only — backward closures
-/// keep differentiating the f32 shadow weights.
-pub trait ForwardOverride: Send + Sync {
-    /// Override for `a.matmul(w)` where `w` is the parameter `w_param`
-    /// (logical shape `(k, n)`).
-    fn matmul(&self, a: &Tensor, w: &Tensor, w_param: ParamId) -> Option<Tensor>;
-
-    /// Override for `conv3d(x, w, spec)` where `w` is the parameter
-    /// `w_param` (shape `(C_out, C_in, KD, KH, KW)`).
-    fn conv3d(&self, x: &Tensor, w: &Tensor, w_param: ParamId, spec: Conv3dSpec)
-        -> Option<Tensor>;
-}
 
 /// Handle to a node on a [`Tape`]. Cheap to copy; only valid for the tape
 /// that created it.
@@ -144,9 +120,6 @@ pub struct Tape {
     /// Symbolic operation records, one per node, present only on tapes made
     /// with [`Tape::traced`]. Invariant: `trace.len() == nodes.len()`.
     trace: Option<Vec<TraceOp>>,
-    /// Optional forward-value override for param-backed matmul/conv3d
-    /// weights (the eager quantized path). See [`ForwardOverride`].
-    overlay: Option<Arc<dyn ForwardOverride>>,
 }
 
 impl std::fmt::Debug for Tape {
@@ -174,13 +147,6 @@ impl Tape {
     /// True when this tape records [`TraceOp`]s.
     pub fn is_traced(&self) -> bool {
         self.trace.is_some()
-    }
-
-    /// Installs a forward-value override consulted by [`Tape::matmul`] and
-    /// [`Tape::conv3d`] for parameter-leaf weight operands. See
-    /// [`ForwardOverride`].
-    pub fn set_overlay(&mut self, overlay: Arc<dyn ForwardOverride>) {
-        self.overlay = Some(overlay);
     }
 
     /// The symbolic record for node `i`, when this tape is traced.
@@ -584,15 +550,7 @@ impl Tape {
     ///
     /// Panics unless both are rank 2 with matching inner dims.
     pub fn matmul(&mut self, a: Var, b: Var) -> Var {
-        // Quantized-path hook: when `b` is a parameter leaf the overlay may
-        // compute the product through its own kernel body (see
-        // `ForwardOverride`); `None` falls through to the stock f32 kernel.
-        let value = match (&self.overlay, self.nodes[b.0].param) {
-            (Some(ov), Some(id)) => ov
-                .matmul(&self.nodes[a.0].value, &self.nodes[b.0].value, id)
-                .unwrap_or_else(|| self.nodes[a.0].value.matmul(&self.nodes[b.0].value)),
-            _ => self.nodes[a.0].value.matmul(&self.nodes[b.0].value),
-        };
+        let value = self.nodes[a.0].value.matmul(&self.nodes[b.0].value);
         self.push(
             value,
             vec![a.0, b.0],
@@ -775,15 +733,7 @@ impl Tape {
         let ws = self.nodes[w.0].value.shape().to_vec();
         let in_dims = (xs[2], xs[3], xs[4]);
         let kernel = (ws[2], ws[3], ws[4]);
-        // Quantized-path hook, mirroring `Tape::matmul`.
-        let value = match (&self.overlay, self.nodes[w.0].param) {
-            (Some(ov), Some(id)) => ov
-                .conv3d(&self.nodes[x.0].value, &self.nodes[w.0].value, id, spec)
-                .unwrap_or_else(|| {
-                    conv3d(&self.nodes[x.0].value, &self.nodes[w.0].value, spec)
-                }),
-            _ => conv3d(&self.nodes[x.0].value, &self.nodes[w.0].value, spec),
-        };
+        let value = conv3d(&self.nodes[x.0].value, &self.nodes[w.0].value, spec);
         self.push(
             value,
             vec![x.0, w.0],

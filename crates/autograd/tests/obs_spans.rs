@@ -1,14 +1,22 @@
 //! Backward-pass span attribution: `Tape::mark` segments must show up as
 //! `bwd:<label>` spans, in reverse order, nested under `autograd.backward`.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use bikecap_autograd::{ParamStore, Tape};
 use bikecap_obs::{Kind, MemorySink};
 use bikecap_tensor::Tensor;
 
+/// The obs sink is process-global: one test installs it, the other clears
+/// it, so both hold this lock for their whole body.
+fn sink_lock() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 #[test]
 fn backward_emits_one_span_per_marked_segment() {
+    let _guard = sink_lock();
     let sink = Arc::new(MemorySink::new(256));
     bikecap_obs::install(sink.clone());
 
@@ -60,6 +68,7 @@ fn backward_emits_one_span_per_marked_segment() {
 
 #[test]
 fn marks_are_free_when_disabled() {
+    let _guard = sink_lock();
     bikecap_obs::clear();
     let mut store = ParamStore::new();
     let w = store.add("w", Tensor::ones(&[2]));

@@ -42,7 +42,6 @@ use std::time::Instant;
 
 use bikecap_bench::BenchArgs;
 use bikecap_core::{BikeCap, BikeCapConfig, ExecMode, VerifyMode};
-use bikecap_quant::{conv3d_q8, matmul_q8_into, Q8Tensor};
 use bikecap_rt as rt;
 use bikecap_tensor::conv::{conv3d, conv_transpose3d, Conv3dSpec};
 use bikecap_tensor::Tensor;
@@ -247,22 +246,6 @@ fn main() {
     });
     bench_op(&mut records, "conv_transpose3d", "16x4x8x8x8 k3x3x3".into(), 20 * scale, samples, || {
         conv_transpose3d(&x, &w, Conv3dSpec::padded(1, 1, 1))
-    });
-
-    // Quantized counterparts of the two kernels above, same shapes: Q8_0
-    // block weights, activations quantized per row inside the kernel. The
-    // f32-vs-q8 ns gap is the memory-bandwidth payoff the roofline work
-    // model predicts (weight traffic drops to 36/32 bytes per element).
-    let bq = Q8Tensor::quantize_transposed(b.as_slice(), &[256, 128], 256, 128);
-    bench_op(&mut records, "matmul_q8", "128x256 * 256x128".into(), 40 * scale, samples, || {
-        let mut out = Tensor::zeros(&[128, 128]);
-        matmul_q8_into(a.as_slice(), &bq, 128, 256, 128, out.as_mut_slice());
-        out
-    });
-    let wq = Q8Tensor::quantize(w.as_slice(), &[4, 4, 3, 3, 3], 4, 4 * 27);
-    bench_op(&mut records, "conv3d_q8", "16x4x8x8x8 k3x3x3".into(), 20 * scale, samples, || {
-        let (data, shape) = conv3d_q8(x.as_slice(), x.shape(), &wq, Conv3dSpec::padded(1, 1, 1));
-        Tensor::from_vec(data, &shape)
     });
 
     // The full inference path: encoder → routing → decoder — once through

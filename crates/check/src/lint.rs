@@ -154,7 +154,6 @@ pub enum CrateKind {
     Rt,
     Ir,
     Live,
-    Quant,
     Other,
 }
 
@@ -177,8 +176,6 @@ impl CrateKind {
             CrateKind::Ir
         } else if path.starts_with("crates/live/") {
             CrateKind::Live
-        } else if path.starts_with("crates/quant/") {
-            CrateKind::Quant
         } else {
             CrateKind::Other
         }
@@ -213,7 +210,7 @@ const SERVE_HOT_FNS: &[&str] = &[
 /// The `bikecap-ir` schedule-execution path (exact names): everything that
 /// runs per compiled prediction. Plan construction (`compile`, `for_plan`)
 /// allocates by design and is deliberately NOT listed.
-const IR_HOT_FNS: &[&str] = &["execute", "execute_with", "run_step", "fetch"];
+const IR_HOT_FNS: &[&str] = &["execute", "run_step", "fetch"];
 
 /// The `bikecap-live` per-record / per-slot path (exact names): everything
 /// that runs for every ingested record or every sealed slot. Adaptation
@@ -240,12 +237,6 @@ pub fn is_hot_path(kind: CrateKind, name: &str) -> bool {
     match kind {
         CrateKind::Tensor | CrateKind::Nn | CrateKind::Core => {
             NUMERIC_HOT_FRAGMENTS.iter().any(|f| name.contains(f))
-        }
-        // Quant kernels run per inference like the tensor kernels, and the
-        // per-row activation quantizer rides inside them. Container
-        // (de)serialization and checkpoint rewriting are cold by design.
-        CrateKind::Quant => {
-            NUMERIC_HOT_FRAGMENTS.iter().any(|f| name.contains(f)) || name == "quantize_row"
         }
         CrateKind::Serve => SERVE_HOT_FNS.contains(&name),
         CrateKind::Ir => IR_HOT_FNS.contains(&name),

@@ -9,14 +9,12 @@ use std::time::Instant;
 
 use bikecap_autograd::{ParamStore, Tape, Var};
 use bikecap_city_sim::{ForecastDataset, Split};
-use bikecap_ir::{
-    Arena, CompileOptions, CpuExecutor, Executor, Graph, IrError, ModelPlan, QuantExecutor,
-};
+use bikecap_ir::{Arena, CompileOptions, Graph, IrError, ModelPlan};
 use bikecap_nn::serialize::{
     read_quant_params, save_params_with_meta, save_quant_params, CheckpointMeta, LoadParamsError,
 };
 use bikecap_nn::{clip_grad_norm, Adam};
-use bikecap_quant::{quantize_pairs, QuantEntry, QuantFormat, QuantSet};
+use bikecap_quant::{precision_label, quantize_pairs, QuantFormat};
 use bikecap_tensor::Tensor;
 use bikecap_verify::VerifyMode;
 use rand::rngs::StdRng;
@@ -131,7 +129,6 @@ impl ExecMode {
 /// the probe pass).
 struct ExecState {
     mode: ExecMode,
-    fusion: bool,
     /// Plan-build-time verification (`BIKECAP_VERIFY`): in `strict` a plan
     /// with a proven invariant violation is rejected (the shape stays on
     /// the eager oracle); in `warn` violations only surface as
@@ -143,12 +140,8 @@ struct ExecState {
 
 impl ExecState {
     fn new() -> ExecState {
-        let fusion = !std::env::var("BIKECAP_FUSION")
-            .map(|v| v.eq_ignore_ascii_case("off"))
-            .unwrap_or(false);
         ExecState {
             mode: ExecMode::from_env(),
-            fusion,
             verify: VerifyMode::from_env(),
             plans: Mutex::new(HashMap::new()),
             arenas: Mutex::new(HashMap::new()),
@@ -165,9 +158,8 @@ impl fmt::Debug for ExecState {
             .unwrap_or_else(|e| e.into_inner().len());
         write!(
             f,
-            "ExecState {{ mode: {:?}, fusion: {}, verify: {}, plans: {plans} }}",
+            "ExecState {{ mode: {:?}, verify: {}, plans: {plans} }}",
             self.mode,
-            self.fusion,
             self.verify.name()
         )
     }
@@ -183,13 +175,9 @@ pub struct BikeCap {
     routing: SpatialTemporalRouting,
     decoder: Decoder,
     exec: ExecState,
-    /// Quantized-kernel dispatch table, present after loading a v4
-    /// checkpoint. The store always keeps dequantized f32 shadows (plan
-    /// compilation, re-saving and ineligible steps read those); this table
-    /// only reroutes matmul/conv forward kernels — identically on the eager
-    /// and compiled paths, so the bitwise eager ≡ compiled contract holds
-    /// on quantized models too.
-    quant: Option<Arc<QuantSet>>,
+    /// Storage precision of the last checkpoint loaded (see
+    /// [`BikeCap::precision`]). Compute is f32 whatever this says.
+    precision: &'static str,
 }
 
 impl BikeCap {
@@ -230,7 +218,7 @@ impl BikeCap {
             routing,
             decoder,
             exec: ExecState::new(),
-            quant: None,
+            precision: "f32",
         })
     }
 
@@ -286,10 +274,10 @@ impl BikeCap {
     /// [`BikeCap::save_quantized_checkpoint`] into this model, first
     /// verifying its metadata against this model's configuration.
     ///
-    /// Quantized (v4) checkpoints populate the store with dequantized f32
-    /// shadows *and* register every Q8_0 entry for quantized kernel
-    /// dispatch; loading a plain f32 checkpoint clears any previous
-    /// quantization, so a model always reflects the last checkpoint loaded.
+    /// Quantized (v4) checkpoints are a storage format: every entry is
+    /// dequantized into the f32 store, and prediction then runs the same f32
+    /// kernels as for any other checkpoint. [`BikeCap::precision`] reports
+    /// the storage precision of the last checkpoint loaded.
     ///
     /// # Errors
     ///
@@ -310,7 +298,6 @@ impl BikeCap {
         // Resolve every entry to its parameter and dequantize it before any
         // store write, so a bad checkpoint leaves the model untouched.
         let mut staged = Vec::with_capacity(entries.len());
-        let mut set = QuantSet::new();
         for (name, entry) in &entries {
             let id = self
                 .store
@@ -331,17 +318,12 @@ impl BikeCap {
                 name: name.clone(),
                 message: e.to_string(),
             })?;
-            match entry {
-                QuantEntry::Q8(q) => set.insert_q8(id, q.clone()),
-                QuantEntry::F16(_) => set.note_f16(),
-                QuantEntry::F32(_) => {}
-            }
             staged.push((id, shadow));
         }
         for (id, shadow) in staged {
             self.store.set_value(id, shadow);
         }
-        self.quant = (set.q8_params() > 0 || set.f16_params() > 0).then(|| Arc::new(set));
+        self.precision = precision_label(entries.iter().map(|(_, entry)| entry));
         Ok(())
     }
 
@@ -366,15 +348,12 @@ impl BikeCap {
         save_quant_params(&entries, Some(&self.checkpoint_meta()), path)
     }
 
-    /// The numeric precision this model serves at: `"f32"` until a
-    /// quantized checkpoint is loaded, then the loaded set's label
+    /// The storage precision of the weights this model serves: `"f32"`
+    /// until a quantized checkpoint is loaded, then that checkpoint's label
     /// (`"q8_0"`, `"f16"`, or `"q8_0+f16"`). Reported per model by
     /// `/healthz`.
     pub fn precision(&self) -> &'static str {
-        match &self.quant {
-            Some(set) => set.precision(),
-            None => "f32",
-        }
+        self.precision
     }
 
     /// Total learnable scalars (the paper reports 646,395 at its city scale).
@@ -465,9 +444,6 @@ impl BikeCap {
     /// bitwise, and the fallback when compilation or execution errors.
     fn infer_eager(&self, stacked: Tensor) -> Tensor {
         let mut tape = Tape::new();
-        if let Some(set) = &self.quant {
-            tape.set_overlay(set.clone());
-        }
         let x = tape.constant(stacked);
         let y = self.forward(&mut tape, x);
         tape.value(y).clone()
@@ -508,12 +484,7 @@ impl BikeCap {
                 _ => Arena::for_plan(plan),
             }
         };
-        let result = match &self.quant {
-            Some(set) => {
-                QuantExecutor::new(set.clone()).execute(plan, &self.store, input, &mut arena, out)
-            }
-            None => CpuExecutor.execute(plan, &self.store, input, &mut arena, out),
-        };
+        let result = bikecap_ir::execute(plan, &self.store, input, &mut arena, out);
         let mut pool = lock_clean(&self.exec.arenas);
         match pool.get_mut(shape) {
             Some(slot) => slot.push(arena),
@@ -554,10 +525,7 @@ impl BikeCap {
         let x = tape.constant(Tensor::zeros(shape));
         let y = self.forward(&mut tape, x);
         let graph = Graph::from_tape(&tape, x, y).ok()?;
-        let opts = CompileOptions {
-            fusion: self.exec.fusion,
-        };
-        let plan = ModelPlan::compile(graph, &opts).ok()?;
+        let plan = ModelPlan::compile(graph, &CompileOptions::default()).ok()?;
         let contract = self.config.check_shapes().ok()?;
         let want = contract.output();
         let expect = [shape[0], want.time, want.height, want.width];

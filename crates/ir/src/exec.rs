@@ -1,12 +1,9 @@
 //! Executing a compiled [`ModelPlan`] against a reusable [`Arena`].
 //!
-//! The executor is a backend behind the [`Executor`] trait so alternative
-//! implementations (quantized, accelerator-offloaded) can slot in without
-//! touching the planner. The default [`CpuExecutor`] dispatches every step
-//! to the shared `*_into` kernels in [`bikecap_tensor::exec`] — the *same*
-//! function bodies the eager tensor methods call — so compiled results are
-//! bitwise identical to the eager tape walk by construction, at any
-//! `bikecap-rt` thread count.
+//! [`execute`] dispatches every step to the shared `*_into` kernels in
+//! [`bikecap_tensor::exec`] — the *same* function bodies the eager tensor
+//! methods call — so compiled results are bitwise identical to the eager
+//! tape walk by construction, at any `bikecap-rt` thread count.
 //!
 //! Steady-state execution performs **zero heap allocations**: operands are
 //! read straight out of arena slabs (or the parameter store), the output
@@ -14,10 +11,8 @@
 //! the borrow checker, and every dispatch plan was baked at compile time.
 
 use std::mem;
-use std::sync::Arc;
 
 use bikecap_autograd::ParamStore;
-use bikecap_quant::QuantSet;
 use bikecap_tensor::conv::{
     col2im3d_into, conv3d_out_dims, from_position_matrix_into, im2col3d_into,
     to_position_matrix_into,
@@ -59,94 +54,20 @@ impl Arena {
     }
 }
 
-/// A backend that can run a compiled plan. Implementations must preserve
-/// the bitwise-identity contract with the eager tape walk.
-pub trait Executor {
-    /// Stable backend name (surfaced in telemetry and serving status).
-    fn name(&self) -> &'static str;
-
-    /// Runs the schedule: copies `input` in, executes every step, copies the
-    /// result into `out`.
-    ///
-    /// # Errors
-    ///
-    /// [`IrError::Exec`] on length/arena mismatches; [`IrError::Injected`]
-    /// when the `ir.exec.step` failpoint fires. The arena is left consistent
-    /// (no slab is lost) on every error path.
-    fn execute(
-        &self,
-        plan: &ModelPlan,
-        store: &ParamStore,
-        input: &[f32],
-        arena: &mut Arena,
-        out: &mut [f32],
-    ) -> Result<(), IrError>;
-}
-
-/// The reference CPU backend over the shared `bikecap-tensor` kernels.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct CpuExecutor;
-
-impl Executor for CpuExecutor {
-    fn name(&self) -> &'static str {
-        "cpu"
-    }
-
-    fn execute(
-        &self,
-        plan: &ModelPlan,
-        store: &ParamStore,
-        input: &[f32],
-        arena: &mut Arena,
-        out: &mut [f32],
-    ) -> Result<(), IrError> {
-        execute_with(plan, store, input, arena, out, None)
-    }
-}
-
-/// The quantized CPU backend: identical schedule and kernels to
-/// [`CpuExecutor`] except that matmul/conv steps whose weight operand is a
-/// parameter registered in the [`QuantSet`] dispatch through the
-/// `bikecap-quant` kernel bodies. The eager tape consults the same set by
-/// the same parameter ids (see `bikecap_autograd::ForwardOverride`), which
-/// preserves the eager ≡ compiled bitwise contract on the quantized path.
-#[derive(Debug, Clone)]
-pub struct QuantExecutor {
-    set: Arc<QuantSet>,
-}
-
-impl QuantExecutor {
-    /// A backend dispatching the given quantization table.
-    pub fn new(set: Arc<QuantSet>) -> QuantExecutor {
-        QuantExecutor { set }
-    }
-}
-
-impl Executor for QuantExecutor {
-    fn name(&self) -> &'static str {
-        "cpu-q8"
-    }
-
-    fn execute(
-        &self,
-        plan: &ModelPlan,
-        store: &ParamStore,
-        input: &[f32],
-        arena: &mut Arena,
-        out: &mut [f32],
-    ) -> Result<(), IrError> {
-        execute_with(plan, store, input, arena, out, Some(&self.set))
-    }
-}
-
-/// The shared schedule walk behind both backends.
-fn execute_with(
+/// Runs a compiled schedule: copies `input` in, executes every step, copies
+/// the result into `out`.
+///
+/// # Errors
+///
+/// [`IrError::Exec`] on length/arena mismatches; [`IrError::Injected`] when
+/// the `ir.exec.step` failpoint fires. The arena is left consistent (no slab
+/// is lost) on every error path.
+pub fn execute(
     plan: &ModelPlan,
     store: &ParamStore,
     input: &[f32],
     arena: &mut Arena,
     out: &mut [f32],
-    quant: Option<&QuantSet>,
 ) -> Result<(), IrError> {
     let _span = bikecap_obs::span("ir.exec");
     if input.len() != plan.input_len {
@@ -160,7 +81,7 @@ fn execute_with(
     }
     arena.slabs[plan.input_slot].copy_from_slice(input);
     for step in &plan.steps {
-        run_step(step, store, arena, quant)?;
+        run_step(step, store, arena)?;
     }
     out.copy_from_slice(&arena.slabs[plan.output_slot]);
     Ok(())
@@ -180,35 +101,6 @@ fn fetch<'a>(arena: &'a Arena, store: &'a ParamStore, src: &Src) -> &'a [f32] {
         Src::Slot(slot) => &arena.slabs[*slot],
         Src::Param(id) => store.value(*id).as_slice(),
     }
-}
-
-/// The quantized weight a matmul step dispatches, when quantized execution
-/// is active, the `b` operand is a parameter in the table, and its
-/// transposed geometry matches the step's baked extents (a mismatch falls
-/// back to the f32 shadow rather than erroring — the shadow is always
-/// present and correct).
-fn quant_matmul_weight<'a>(
-    quant: Option<&'a QuantSet>,
-    b: &Src,
-    k: usize,
-    n: usize,
-) -> Option<&'a bikecap_quant::Q8Tensor> {
-    let Src::Param(id) = b else { return None };
-    let q = quant?.q8(*id)?;
-    (q.transposed() && q.k() == k && q.rows() == n).then_some(q)
-}
-
-/// The quantized weight a conv step dispatches, mirroring
-/// [`quant_matmul_weight`] for natural-layout (per-output-channel) rows.
-fn quant_conv_weight<'a>(
-    quant: Option<&'a QuantSet>,
-    w: &Src,
-    k: usize,
-    c_out: usize,
-) -> Option<&'a bikecap_quant::Q8Tensor> {
-    let Src::Param(id) = w else { return None };
-    let q = quant?.q8(*id)?;
-    (!q.transposed() && q.k() == k && q.rows() == c_out).then_some(q)
 }
 
 /// Static span name for a step — one per kind, so the tracing hot path never
@@ -237,22 +129,15 @@ fn step_name(step: &Step) -> &'static str {
 /// enabled, and only the compute-heavy kinds carry a model — data-movement
 /// steps are left to the span timings alone.
 #[cold]
-fn record_step_work(step: &Step, store: &ParamStore, arena: &Arena, quant: Option<&QuantSet>) {
+fn record_step_work(step: &Step, store: &ParamStore, arena: &Arena) {
     use bikecap_obs::Work;
     match step {
-        Step::Matmul { b, m, k, n, .. } => {
-            if quant_matmul_weight(quant, b, *k, *n).is_some() {
-                Work::matmul_q8(*m, *k, *n).record();
-            } else {
-                Work::matmul(*m, *k, *n).record();
-            }
-        }
+        Step::Matmul { m, k, n, .. } => Work::matmul(*m, *k, *n).record(),
         Step::Softmax { inner, src, .. } => {
             let len = fetch(arena, store, src).len();
             Work::softmax(len / inner.max(&1), *inner).record();
         }
         Step::Conv {
-            w,
             dims,
             kernel,
             spec,
@@ -260,12 +145,7 @@ fn record_step_work(step: &Step, store: &ParamStore, arena: &Arena, quant: Optio
             ..
         } => {
             let out = conv3d_out_dims((dims.2, dims.3, dims.4), *kernel, *spec);
-            let k = dims.1 * kernel.0 * kernel.1 * kernel.2;
-            if quant_conv_weight(quant, w, k, *c_out).is_some() {
-                Work::conv3d_q8(dims.0, dims.1, *c_out, out, *kernel).record();
-            } else {
-                Work::conv3d(dims.0, dims.1, *c_out, out, *kernel).record();
-            }
+            Work::conv3d(dims.0, dims.1, *c_out, out, *kernel).record();
         }
         Step::ConvT {
             n,
@@ -291,12 +171,7 @@ fn record_step_work(step: &Step, store: &ParamStore, arena: &Arena, quant: Optio
 /// with `mem::take` so operand slabs can be borrowed immutably alongside it;
 /// the failpoint is checked *before* any take so error paths leave the arena
 /// whole.
-fn run_step(
-    step: &Step,
-    store: &ParamStore,
-    arena: &mut Arena,
-    quant: Option<&QuantSet>,
-) -> Result<(), IrError> {
+fn run_step(step: &Step, store: &ParamStore, arena: &mut Arena) -> Result<(), IrError> {
     if let Some(fault) = bikecap_faults::hit("ir.exec.step") {
         return Err(IrError::Injected(fault));
     }
@@ -306,7 +181,7 @@ fn run_step(
     // relaxed atomic load each while observability is off.
     let _step_span = bikecap_obs::span(step_name(step));
     if bikecap_obs::enabled() {
-        record_step_work(step, store, arena, quant);
+        record_step_work(step, store, arena);
     }
     match step {
         Step::Zip { op, plan, a, b, out } => {
@@ -349,18 +224,14 @@ fn run_step(
         }
         Step::Matmul { a, b, m, k, n, out } => {
             let mut o = mem::take(&mut arena.slabs[*out]);
-            if let Some(q) = quant_matmul_weight(quant, b, *k, *n) {
-                bikecap_quant::matmul_q8_into(fetch(arena, store, a), q, *m, *k, *n, &mut o);
-            } else {
-                matmul_into(
-                    fetch(arena, store, a),
-                    fetch(arena, store, b),
-                    *m,
-                    *k,
-                    *n,
-                    &mut o,
-                );
-            }
+            matmul_into(
+                fetch(arena, store, a),
+                fetch(arena, store, b),
+                *m,
+                *k,
+                *n,
+                &mut o,
+            );
             arena.slabs[*out] = o;
         }
         Step::Reduce { plan, src, out } => {
@@ -431,25 +302,15 @@ fn run_step(
             let mut o = mem::take(&mut arena.slabs[*out]);
             {
                 let xs = fetch(arena, store, x);
+                let ws = fetch(arena, store, w);
                 let k = dims.1 * kernel.0 * kernel.1 * kernel.2;
                 let rows = colb.len() / k;
-                if let Some(q) = quant_conv_weight(quant, w, k, *c_out) {
-                    // Quantized path: the same im2col + position-matmul
-                    // composition with the weight-transpose GEMM swapped for
-                    // the block-quantized body (the wt scratch slab stays
-                    // untouched).
-                    bikecap_quant::conv3d_q8_into(
-                        xs, q, *dims, *kernel, *spec, &mut colb, &mut matb, &mut o,
-                    );
-                } else {
-                    let ws = fetch(arena, store, w);
-                    // The exact eager composition: im2col, weight transpose,
-                    // row-position matmul, channel re-interleave.
-                    im2col3d_into(xs, *dims, *kernel, *spec, &mut colb);
-                    transpose2d_into(ws, *c_out, k, &mut wtb);
-                    matmul_into(&colb, &wtb, rows, k, *c_out, &mut matb);
-                    from_position_matrix_into(&matb, dims.0, *c_out, rows / dims.0, &mut o);
-                }
+                // The exact eager composition: im2col, weight transpose,
+                // row-position matmul, channel re-interleave.
+                im2col3d_into(xs, *dims, *kernel, *spec, &mut colb);
+                transpose2d_into(ws, *c_out, k, &mut wtb);
+                matmul_into(&colb, &wtb, rows, k, *c_out, &mut matb);
+                from_position_matrix_into(&matb, dims.0, *c_out, rows / dims.0, &mut o);
             }
             arena.slabs[*col] = colb;
             arena.slabs[*wt] = wtb;

@@ -17,10 +17,9 @@
 //!    disabled).
 //! 3. [`ModelPlan::compile`] — buffer liveness + exact-size slab reuse +
 //!    baked dispatch geometry.
-//! 4. [`Executor::execute`] — run the schedule; the [`CpuExecutor`]
-//!    dispatches to the *same* kernel bodies the eager tensor methods use,
-//!    so compiled output is bitwise identical to the tape walk at any
-//!    `bikecap-rt` thread count.
+//! 4. [`execute`] — run the schedule, dispatching to the *same* kernel
+//!    bodies the eager tensor methods use, so compiled output is bitwise
+//!    identical to the tape walk at any `bikecap-rt` thread count.
 //!
 //! Everything fallible returns a typed [`IrError`]; callers keep the eager
 //! path as the reference oracle and fall back on any error (including the
@@ -28,7 +27,7 @@
 //!
 //! ```
 //! use bikecap_autograd::Tape;
-//! use bikecap_ir::{Arena, CompileOptions, CpuExecutor, Executor, Graph, ModelPlan};
+//! use bikecap_ir::{execute, Arena, CompileOptions, Graph, ModelPlan};
 //! use bikecap_tensor::Tensor;
 //!
 //! // Probe a tiny expression on a traced tape.
@@ -44,7 +43,7 @@
 //! let store = bikecap_autograd::ParamStore::new();
 //! let input = [-2.0f32, -1.0, 0.0, 1.0, 2.0, 3.0];
 //! let mut out = [0.0f32; 6];
-//! CpuExecutor.execute(&plan, &store, &input, &mut arena, &mut out).unwrap();
+//! execute(&plan, &store, &input, &mut arena, &mut out).unwrap();
 //! assert_eq!(out, [0.0, 0.0, 1.0, 2.0, 3.0, 4.0]);
 //! ```
 
@@ -56,7 +55,7 @@ pub mod plan;
 pub mod view;
 
 pub use error::IrError;
-pub use exec::{Arena, CpuExecutor, Executor, QuantExecutor};
+pub use exec::{execute, Arena};
 pub use fuse::fuse;
 pub use graph::Graph;
 pub use plan::{CompileOptions, ModelPlan};
@@ -81,9 +80,7 @@ mod tests {
         let plan = ModelPlan::compile(graph, &CompileOptions { fusion }).expect("planning");
         let mut arena = Arena::for_plan(&plan);
         let mut out = vec![0.0f32; plan.output_len()];
-        CpuExecutor
-            .execute(&plan, store, input.as_slice(), &mut arena, &mut out)
-            .expect("execution");
+        execute(&plan, store, input.as_slice(), &mut arena, &mut out).expect("execution");
         Tensor::from_vec(out, plan.out_shape())
     }
 
@@ -171,17 +168,13 @@ mod tests {
         let mut arena = Arena::for_plan(&plan);
         let store_ref = &store;
         let mut first = vec![0.0f32; plan.output_len()];
-        CpuExecutor
-            .execute(&plan, store_ref, input.as_slice(), &mut arena, &mut first)
-            .unwrap();
+        execute(&plan, store_ref, input.as_slice(), &mut arena, &mut first).unwrap();
         // Re-running over the *same* (now dirty) arena must give identical
         // results: every slab is either fully overwritten or pre-zeroed by
         // its kernel.
         for _ in 0..3 {
             let mut again = vec![0.0f32; plan.output_len()];
-            CpuExecutor
-                .execute(&plan, store_ref, input.as_slice(), &mut arena, &mut again)
-                .unwrap();
+            execute(&plan, store_ref, input.as_slice(), &mut arena, &mut again).unwrap();
             assert_eq!(again, first);
         }
     }
@@ -214,14 +207,10 @@ mod tests {
         let mut arena = Arena::for_plan(&plan);
         let store = ParamStore::new();
         let mut out = [0.0f32; 4];
-        let err = CpuExecutor
-            .execute(&plan, &store, &[0.0; 3], &mut arena, &mut out)
-            .unwrap_err();
+        let err = execute(&plan, &store, &[0.0; 3], &mut arena, &mut out).unwrap_err();
         assert!(matches!(err, IrError::Exec(_)));
         let mut short = [0.0f32; 2];
-        let err = CpuExecutor
-            .execute(&plan, &store, &[0.0; 4], &mut arena, &mut short)
-            .unwrap_err();
+        let err = execute(&plan, &store, &[0.0; 4], &mut arena, &mut short).unwrap_err();
         assert!(matches!(err, IrError::Exec(_)));
     }
 
@@ -238,16 +227,12 @@ mod tests {
         let mut arena = Arena::for_plan(&plan);
         let mut out = [0.0f32; 4];
         let input = [1.0f32, 2.0, 3.0, 4.0];
-        CpuExecutor
-            .execute(&plan, &store, &input, &mut arena, &mut out)
-            .unwrap();
+        execute(&plan, &store, &input, &mut arena, &mut out).unwrap();
         assert_eq!(out, [3.0, 3.0, 7.0, 7.0]);
         // Simulate a training step / checkpoint load: the plan must read the
         // new weights without recompilation.
         store.set_value(w, Tensor::full(&[2, 2], 2.0));
-        CpuExecutor
-            .execute(&plan, &store, &input, &mut arena, &mut out)
-            .unwrap();
+        execute(&plan, &store, &input, &mut arena, &mut out).unwrap();
         assert_eq!(out, [6.0, 6.0, 14.0, 14.0]);
     }
 

@@ -172,7 +172,8 @@ pub(crate) enum Step {
 #[derive(Debug, Clone)]
 pub struct CompileOptions {
     /// Run the elementwise fusion pass before planning (on by default;
-    /// disabled by `BIKECAP_FUSION=off` in the model wiring).
+    /// fusion is bitwise-neutral, so turning it off only serves tests that
+    /// compare fused and unfused plans).
     pub fusion: bool,
 }
 
@@ -184,7 +185,7 @@ impl Default for CompileOptions {
 
 /// A compiled model: static schedule, slab table, constant prefill data.
 /// Build once per (model, batch-size); execute many times via
-/// [`crate::exec::Executor`].
+/// [`crate::exec::execute`].
 #[derive(Debug, Clone)]
 pub struct ModelPlan {
     pub(crate) steps: Vec<Step>,

@@ -848,8 +848,8 @@ pub fn read_params(path: impl AsRef<Path>) -> Result<RawCheckpoint, LoadParamsEr
 pub type QuantCheckpoint = (Option<CheckpointMeta>, Vec<(String, QuantEntry)>);
 
 /// Reads every entry in the checkpoint at `path` *as stored*: v4 files come
-/// back with their quantized tensors intact (so a loader can both populate
-/// f32 shadows and register quantized kernels), older versions come back as
+/// back with their quantized tensors intact (so a loader can dequantize
+/// them and still report the storage precision), older versions come back as
 /// [`QuantEntry::F32`].
 ///
 /// # Errors

@@ -28,10 +28,6 @@ pub struct Work {
 /// Bytes per element everywhere in the numeric stack.
 const F32: f64 = 4.0;
 
-/// Bytes per Q8_0-quantized weight element: 36-byte blocks (one f32 scale +
-/// 32 `i8`s) over 32 elements. See DESIGN.md Appendix J.
-const Q8: f64 = 36.0 / 32.0;
-
 impl Work {
     /// `C = A·B` with `A (m,k)` and `B (k,n)`: `2mkn` flops; reads both
     /// operands once and writes the output once.
@@ -40,39 +36,6 @@ impl Work {
         Work {
             flops: 2.0 * m * k * n,
             bytes: F32 * (m * k + k * n + m * n),
-        }
-    }
-
-    /// Quantized `C = A·Wq` with `A (m,k)` f32 and `Wq` a Q8_0 tensor of
-    /// `n` rows of `k`: the dot products are the same `2mkn` arithmetic (the
-    /// `i32` multiply-adds count like their f32 counterparts, plus a `2mk`
-    /// on-the-fly activation quantization pass), but the weight traffic
-    /// drops from 4 to 1.125 bytes per element — the arithmetic-intensity
-    /// shift `bikecap profile` surfaces on the quantized path.
-    pub fn matmul_q8(m: usize, k: usize, n: usize) -> Work {
-        let (m, k, n) = (m as f64, k as f64, n as f64);
-        Work {
-            flops: 2.0 * m * k * n + 2.0 * m * k,
-            bytes: F32 * (m * k + m * n) + Q8 * k * n,
-        }
-    }
-
-    /// Quantized im2col + GEMM 3-D convolution: [`Work::conv3d`] with the
-    /// GEMM swapped for [`Work::matmul_q8`] against the block-quantized
-    /// weight — same im2col gather traffic, `1.125`-byte weight reads.
-    pub fn conv3d_q8(
-        batch: usize,
-        c_in: usize,
-        c_out: usize,
-        out_dims: (usize, usize, usize),
-        kernel: (usize, usize, usize),
-    ) -> Work {
-        let positions = (batch * out_dims.0 * out_dims.1 * out_dims.2) as f64;
-        let patch = (c_in * kernel.0 * kernel.1 * kernel.2) as f64;
-        let c_out = c_out as f64;
-        Work {
-            flops: 2.0 * positions * patch * c_out + 2.0 * positions * patch,
-            bytes: F32 * (3.0 * positions * patch + positions * c_out) + Q8 * patch * c_out,
         }
     }
 
@@ -243,22 +206,6 @@ mod tests {
         // must classify them memory-bound under any sane machine balance.
         assert!(Work::softmax(1024, 16).intensity() < 2.0);
         assert!(Work::squash(4096, 8).intensity() < 2.0);
-    }
-
-    #[test]
-    fn q8_variants_cut_weight_traffic_and_raise_intensity() {
-        let f = Work::matmul(128, 256, 64);
-        let q = Work::matmul_q8(128, 256, 64);
-        // Same dot-product arithmetic (plus the activation-quantization
-        // pass), 1.125-byte weights instead of 4: intensity must rise.
-        assert_eq!(q.flops, f.flops + 2.0 * 128.0 * 256.0);
-        assert_eq!(f.bytes - q.bytes, (4.0 - 36.0 / 32.0) * 256.0 * 64.0);
-        assert!(q.intensity() > f.intensity());
-
-        let fc = Work::conv3d(16, 4, 8, (8, 8, 8), (3, 3, 3));
-        let qc = Work::conv3d_q8(16, 4, 8, (8, 8, 8), (3, 3, 3));
-        assert_eq!(fc.bytes - qc.bytes, (4.0 - 36.0 / 32.0) * 108.0 * 8.0);
-        assert!(qc.intensity() > fc.intensity());
     }
 
     #[test]

@@ -3,14 +3,13 @@
 //! # Q8_0 layout
 //!
 //! Following the ggml family of block formats, a Q8_0 tensor is split into
-//! rows of its *reduction* axis (the per-output-channel `k` vector a
-//! quantized dot product runs over) and each row into blocks of
+//! rows of its *reduction* axis (the per-output-channel `k` vector the
+//! weight's consumer sums over) and each row into blocks of
 //! [`QK8_0`] = 32 elements. Every block carries one f32 scale
 //! `s = max|x| / 127` and 32 signed bytes `q = round(x / s)`, so a block
 //! serialises to 36 bytes (`4 + 32`) — 1.125 bytes per weight against f32's
 //! four. Blocks never cross row boundaries; a row whose `k` is not a
-//! multiple of 32 zero-pads its final block, which contributes exactly
-//! nothing to dot products and keeps every kernel loop block-aligned.
+//! multiple of 32 zero-pads its final block, which dequantization drops.
 //!
 //! Rows follow the weight's consumer:
 //!
@@ -18,7 +17,8 @@
 //!   one row per output channel, `k = C_in·KD·KH·KW`, which is exactly the
 //!   patch-matrix reduction the shared im2col kernel performs;
 //! * matmul weights `(k, n)` quantize **transposed** — one row per output
-//!   column, so the quantized dot runs over contiguous bytes.
+//!   column. Checkpoints on disk use this layout, so it stays part of the
+//!   format even though dequantization makes it invisible to compute.
 //!
 //! The f16 format (see [`crate::f16`]) covers everything the block format
 //! does not pay for: biases, transposed-convolution weights and other
@@ -133,7 +133,7 @@ impl Q8Tensor {
     }
 
     /// Quantizes a logical `(k, n)` matmul weight into `n` transposed rows
-    /// of length `k`, so quantized dot products run over contiguous bytes.
+    /// of length `k` (one block row per output column).
     ///
     /// # Panics
     ///
@@ -201,16 +201,6 @@ impl Q8Tensor {
         &self.shape
     }
 
-    /// Quantized rows (output channels).
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Reduction length per row.
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
     /// Blocks per row.
     pub fn blocks_per_row(&self) -> usize {
         self.blocks_per_row
@@ -224,11 +214,6 @@ impl Q8Tensor {
     /// Per-block scales, row-major.
     pub fn scales(&self) -> &[f32] {
         &self.scales
-    }
-
-    /// Quantized bytes, row-major, zero-padded per row.
-    pub fn qs(&self) -> &[i8] {
-        &self.qs
     }
 
     /// Expands back to a logical-shape f32 tensor.
@@ -456,6 +441,26 @@ pub fn quantize_pairs(pairs: &[(String, Tensor)], format: QuantFormat) -> Vec<(S
         .collect()
 }
 
+/// The storage-precision label of a loaded checkpoint, surfaced by serving
+/// (`/healthz`) and the CLI: `"q8_0"`, `"f16"`, the mixed `"q8_0+f16"`, or
+/// `"f32"` when no entry is quantized.
+pub fn precision_label<'a>(entries: impl IntoIterator<Item = &'a QuantEntry>) -> &'static str {
+    let (mut q8, mut f16) = (false, false);
+    for entry in entries {
+        match entry {
+            QuantEntry::Q8(_) => q8 = true,
+            QuantEntry::F16(_) => f16 = true,
+            QuantEntry::F32(_) => {}
+        }
+    }
+    match (q8, f16) {
+        (true, true) => "q8_0+f16",
+        (true, false) => "q8_0",
+        (false, true) => "f16",
+        (false, false) => "f32",
+    }
+}
+
 impl QuantEntry {
     /// Logical f32 shape of the entry.
     pub fn shape(&self) -> &[usize] {
@@ -503,6 +508,17 @@ mod tests {
                 assert!((a - b).abs() <= tol, "row {r} elem {i}: {a} vs {b}");
             }
         }
+    }
+
+    #[test]
+    fn precision_label_reflects_contents() {
+        let q8 = QuantEntry::Q8(Q8Tensor::quantize(&ramp(32), &[1, 32], 1, 32));
+        let f16 = QuantEntry::F16(F16Tensor::quantize(&Tensor::zeros(&[3])));
+        let f32 = QuantEntry::F32(Tensor::zeros(&[3]));
+        assert_eq!(precision_label([&f32]), "f32");
+        assert_eq!(precision_label([&f16, &f32]), "f16");
+        assert_eq!(precision_label([&q8, &f32]), "q8_0");
+        assert_eq!(precision_label([&q8, &f16]), "q8_0+f16");
     }
 
     #[test]

@@ -1,22 +1,17 @@
 //! `bikecap-quant` — post-training quantization for the BikeCAP
 //! reproduction.
 //!
-//! Three pieces, std-only like the rest of the workspace:
+//! Q8_0 and f16 are *storage* formats: a quantized checkpoint is a fraction
+//! of the f32 size on disk, and loading it dequantizes every entry into the
+//! model's f32 parameter store, so inference runs the ordinary f32 kernels
+//! on both the eager and the compiled path. Two pieces, std-only like the
+//! rest of the workspace:
 //!
-//! * [`format`] — the weight containers: ggml-style Q8_0 blocks (32
-//!   elements per f32 scale, 36 bytes on disk) and a software-f16 format,
-//!   plus the name/shape eligibility policy that routes conv weights to
-//!   blocks and everything else to f16;
-//! * [`kernels`] — quantized `matmul`/`conv3d` bodies: activations
-//!   quantized per block on the fly into stack buffers, `i32`
-//!   accumulation, f32 rescale in fixed block order, parallelised under
-//!   the `bikecap-rt` one-owner-per-row contract so results are bitwise
-//!   thread-count-invariant;
-//! * [`set`] — the runtime [`QuantSet`] table mapping parameter ids to
-//!   their quantized tensors. It implements
-//!   [`bikecap_autograd::ForwardOverride`] for the eager path; the
-//!   compiled executor (`bikecap-ir`) consults the same table, which keeps
-//!   eager ≡ compiled bitwise on the quantized path.
+//! * [`format`](mod@format) — the weight containers: ggml-style Q8_0
+//!   blocks (32 elements per f32 scale, 36 bytes on disk) and a
+//!   software-f16 format, plus the name/shape eligibility policy that
+//!   routes conv and linear weights to blocks and everything else to f16;
+//! * [`f16`](mod@f16) — the binary16 conversions behind the f16 format.
 //!
 //! Checkpoint container integration (format v4) lives in
 //! `bikecap_nn::serialize`; this crate only defines the in-memory formats
@@ -28,12 +23,8 @@
 
 pub mod f16;
 pub mod format;
-pub mod kernels;
-pub mod set;
 
 pub use format::{
-    q8_eligible, quantize_pairs, quantize_tensor, DequantError, F16Tensor, Q8Tensor, QuantEntry,
+    precision_label, q8_eligible, quantize_pairs, quantize_tensor, DequantError, F16Tensor, Q8Tensor, QuantEntry,
     QuantFormat, Q8_BLOCK_BYTES, QK8_0,
 };
-pub use kernels::{conv3d_q8, conv3d_q8_into, matmul_q8_into};
-pub use set::QuantSet;

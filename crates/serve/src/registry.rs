@@ -325,8 +325,9 @@ mod tests {
             .unwrap();
         let model = entry.current();
         assert!(model.precision().starts_with("q8_0"), "{}", model.precision());
-        // Quantized models predict through the Q8 kernels without panicking
-        // and stay finite (accuracy is gated by `bikecap-check quant-eval`).
+        // Quantized models predict on their dequantized weights without
+        // panicking and stay finite (accuracy is gated by
+        // `bikecap-check quant-eval`).
         let x = Tensor::ones(&[1, 4, 4, 4, 4]);
         assert!(model.predict(&x).all_finite());
         std::fs::remove_file(&path).ok();

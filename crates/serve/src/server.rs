@@ -740,7 +740,7 @@ mod tests {
         let verify = doc.get("verify").and_then(Json::as_str);
         assert!(matches!(verify, Some("strict" | "warn" | "off")), "{body}");
         // Every registered model reports its numeric precision; the test
-        // model is built from f32 weights, so no quantized set is attached.
+        // model is built from f32 weights, so it reports plain f32.
         let precision = doc
             .get("precision")
             .and_then(|p| p.get("default"))

@@ -22,10 +22,9 @@
 //! * [`rt`] — deterministic parallel runtime: the chunk-stealing thread
 //!   pool behind the conv/routing hot paths (`BIKECAP_THREADS`,
 //!   `--threads`), bitwise-identical at every thread count.
-//! * [`quant`] — post-training quantization: ggml-style Q8_0 block weights
-//!   and software f16, quantized matmul/conv3d kernel bodies dispatched
-//!   identically by the eager tape and the compiled executor, and the
-//!   checkpoint dtype policy behind `bikecap quantize`.
+//! * [`quant`] — post-training quantization as a storage format,
+//!   dequantized at load: ggml-style Q8_0 block weights and software f16,
+//!   and the checkpoint dtype policy behind `bikecap quantize`.
 //! * [`verify`] — static verifier for compiled executor plans: proves slab
 //!   disjointness, refcount balance, bounds, and schedule validity per
 //!   plan (`BIKECAP_VERIFY=strict|warn|off`), plus the mutation harness

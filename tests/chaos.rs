@@ -286,7 +286,7 @@ fn dequant_fault_during_quantized_load_is_typed_and_atomic() {
     );
     faults::clear();
 
-    // Atomicity: the failed load wrote nothing — same weights, no quant set.
+    // Atomicity: the failed load wrote nothing — same weights, still f32.
     assert_eq!(target.precision(), "f32");
     let after = target.predict(&window);
     assert_eq!(before.as_slice(), after.as_slice(), "failed load mutated the store");

@@ -134,8 +134,7 @@ fn fusion_toggle_is_bitwise_invisible() {
         .expect("planning");
         let mut arena = bikecap::ir::Arena::for_plan(&plan);
         let mut out = vec![0.0f32; plan.output_len()];
-        bikecap::ir::Executor::execute(
-            &bikecap::ir::CpuExecutor,
+        bikecap::ir::execute(
             &plan,
             model.store(),
             window.as_slice(),

@@ -11,7 +11,7 @@
 //! and that the two agree on total conv work — the compiled plan must not
 //! drift from the eager accounting for the same model and input.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use bikecap::model::{BikeCap, BikeCapConfig, ExecMode};
 use bikecap::obs::{self, Kind, MemorySink, Roofline};
@@ -19,7 +19,12 @@ use bikecap::tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+/// The obs sink is process-global and both tests install and clear it, so
+/// each capture holds this lock from `install` to `clear`.
+static SINK_LOCK: Mutex<()> = Mutex::new(());
+
 fn traced_predict(mode: ExecMode) -> Vec<obs::Event> {
+    let _guard = SINK_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let sink = Arc::new(MemorySink::new(1 << 18));
     obs::install(sink.clone());
     let mut model = BikeCap::seeded(BikeCapConfig::new(8, 8).history(8).horizon(4), 42);
