@@ -14,14 +14,14 @@
 //! longitudinal tracking and CI artifacts. DESIGN.md Appendix I documents
 //! the record schema and the regression rule.
 //!
-//! Every timed op is also checked bitwise against the serial backend at
+//! Every timed op is also checked bitwise against a one-thread run at
 //! every thread count — the deterministic-reduction contract means the
 //! numbers in the JSON always describe *identical* outputs.
 //!
 //! Allocations are counted by a global counting allocator (this binary
 //! only), so `allocs_per_iter` captures everything the op touches: the
 //! eager path's per-node tensors versus the compiled path's arena reuse
-//! (`predict_into` on the serial backend is the zero-alloc extreme, pinned
+//! (`predict_into` on one thread is the zero-alloc extreme, pinned
 //! separately by tests/ir_zero_alloc.rs; here the parallel pool's per-fanout
 //! job allocations are included and reported honestly).
 //!
@@ -129,7 +129,7 @@ fn machine_fingerprint() -> String {
 }
 
 /// Times `op` at every [`THREAD_SWEEP`] count and checks each output bitwise
-/// against the serial backend.
+/// against a one-thread (serial) run.
 fn bench_op(
     records: &mut Vec<Record>,
     op: &'static str,
@@ -138,9 +138,8 @@ fn bench_op(
     samples: usize,
     run: impl Fn() -> Tensor,
 ) {
-    rt::set_backend(rt::Backend::Serial);
+    rt::set_threads(1);
     let reference = run();
-    rt::set_backend(rt::Backend::Parallel);
 
     let mut baseline_ns = 0u128;
     for &threads in THREAD_SWEEP {
@@ -270,7 +269,7 @@ fn main() {
 
     // Plan-build latency with the verifier off vs strict. The strict
     // record's `speedup` is off_ns / strict_ns — the acceptance bar for
-    // `BIKECAP_VERIFY=strict` is < 10% overhead, i.e. a ratio above ~0.9.
+    // strict verification is < 10% overhead, i.e. a ratio above ~0.9.
     let mut builder = BikeCap::seeded(BikeCapConfig::new(8, 8).history(8).horizon(4), 11);
     let plan_iters = 10 * scale;
     let mut off_ns = 0u128;

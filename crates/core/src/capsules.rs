@@ -8,6 +8,44 @@ use rand::Rng;
 
 use crate::config::{BikeCapConfig, Encoder};
 
+/// Routing convergence signals of one forward pass, each the mean over
+/// routing iterations of the matching `core.routing.iter*` obs value:
+/// coupling-coefficient entropy (`.entropy`) and mean absolute logit update
+/// of the agreement step (`.agreement_delta`, absent on the first
+/// iteration). A signal with no samples reads `0.0`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RoutingStats {
+    /// Mean coupling entropy over iterations.
+    pub entropy: f64,
+    /// Mean agreement delta over iterations `1..`.
+    pub agreement: f64,
+}
+
+/// Per-iteration routing signals in emission order, folded into
+/// [`RoutingStats`] once the forward pass ends.
+#[derive(Debug, Default)]
+pub(crate) struct RoutingSamples {
+    entropy: Vec<f64>,
+    agreement: Vec<f64>,
+}
+
+impl RoutingSamples {
+    /// Each signal's `f64` sum in iteration order over its sample count.
+    pub(crate) fn stats(&self) -> RoutingStats {
+        let mean = |v: &[f64]| {
+            if v.is_empty() {
+                0.0
+            } else {
+                v.iter().sum::<f64>() / v.len() as f64
+            }
+        };
+        RoutingStats {
+            entropy: mean(&self.entropy),
+            agreement: mean(&self.agreement),
+        }
+    }
+}
+
 /// The historical-capsule stage (paper Sec. III-C): a convolutional encoder
 /// over the `(B, F, h, H, W)` input producing one squashed capsule vector per
 /// historical slot (times `hist_capsules_per_slot`) per grid cell:
@@ -339,6 +377,18 @@ impl SpatialTemporalRouting {
     ///
     /// Panics on shape mismatches.
     pub fn forward(&self, tape: &mut Tape, phi: Var, store: &ParamStore) -> Var {
+        self.forward_sampled(tape, phi, store, None)
+    }
+
+    /// [`forward`](Self::forward), also appending each iteration's
+    /// convergence signals to `samples` when given.
+    pub(crate) fn forward_sampled(
+        &self,
+        tape: &mut Tape,
+        phi: Var,
+        store: &ParamStore,
+        mut samples: Option<&mut RoutingSamples>,
+    ) -> Var {
         let ps = tape.value(phi).shape().to_vec();
         assert_eq!(ps.len(), 5, "routing expects capsules (B, S, n, H, W)");
         let (b, s, gh, gw) = (ps[0], ps[1], ps[3], ps[4]);
@@ -364,7 +414,7 @@ impl SpatialTemporalRouting {
             let _span = bikecap_obs::span("core.routing.iter0");
             self.coupling_step(tape, v, logits, b, s, gh, gw)
         };
-        self.iteration_telemetry(tape, 0, first_k, None);
+        self.iteration_telemetry(tape, 0, first_k, None, samples.as_deref_mut());
         for it in 1..self.iters {
             if bikecap_obs::enabled() {
                 tape.mark(&format!("core.routing.iter{it}"));
@@ -372,7 +422,13 @@ impl SpatialTemporalRouting {
             let _span = bikecap_obs::span_with(|| format!("core.routing.iter{it}"));
             let refined = self.agreement_update(tape, v, s_hat, logits, b, s, gh, gw);
             let (next, k) = self.coupling_step(tape, v, refined, b, s, gh, gw);
-            self.iteration_telemetry(tape, it, k, Some((logits, refined)));
+            self.iteration_telemetry(
+                tape,
+                it,
+                k,
+                Some((logits, refined)),
+                samples.as_deref_mut(),
+            );
             logits = refined;
             s_hat = next;
         }
@@ -381,18 +437,20 @@ impl SpatialTemporalRouting {
     }
 
     /// Per-iteration routing telemetry (paper-specific convergence signals),
-    /// recorded only when obs is enabled: the mean entropy of the coupling
-    /// coefficients over their softmax group (low entropy = capsules have
-    /// committed) and the mean absolute logit update contributed by the
-    /// agreement step (shrinking deltas = routing has converged).
+    /// computed only when obs is enabled or `samples` asks for it: the mean
+    /// entropy of the coupling coefficients over their softmax group (low
+    /// entropy = capsules have committed) and the mean absolute logit update
+    /// contributed by the agreement step (shrinking deltas = routing has
+    /// converged).
     fn iteration_telemetry(
         &self,
         tape: &Tape,
         iteration: usize,
         coupling: Var,
         logit_update: Option<(Var, Var)>,
+        mut samples: Option<&mut RoutingSamples>,
     ) {
-        if !bikecap_obs::enabled() {
+        if !bikecap_obs::enabled() && samples.is_none() {
             return;
         }
         let trailing = if self.softmax_over_grid { 3 } else { 1 };
@@ -401,6 +459,9 @@ impl SpatialTemporalRouting {
             || format!("core.routing.iter{iteration}.entropy"),
             entropy,
         );
+        if let Some(s) = samples.as_deref_mut() {
+            s.entropy.push(entropy);
+        }
         if let Some((before, after)) = logit_update {
             let diff = tape.value(after).sub(tape.value(before));
             let count = diff.as_slice().len().max(1);
@@ -409,6 +470,9 @@ impl SpatialTemporalRouting {
                 || format!("core.routing.iter{iteration}.agreement_delta"),
                 delta,
             );
+            if let Some(s) = samples {
+                s.agreement.push(delta);
+            }
         }
     }
 
@@ -495,7 +559,7 @@ pub(crate) fn coupling_entropy(k: &Tensor, trailing: usize) -> f64 {
     let rows = (data.len() / group).max(1);
     // Row chunks map in parallel on the bikecap-rt pool and fold on its
     // fixed binary reduction tree, so the recorded entropy is bitwise-stable
-    // across thread counts (and identical under Backend::Serial).
+    // across thread counts.
     let total = bikecap_rt::reduce(
         rows,
         64,

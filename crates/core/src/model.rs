@@ -20,7 +20,9 @@ use bikecap_verify::VerifyMode;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::capsules::{HistoricalCapsules, SpatialTemporalRouting};
+use crate::capsules::{
+    HistoricalCapsules, RoutingSamples, RoutingStats, SpatialTemporalRouting,
+};
 use crate::config::BikeCapConfig;
 use crate::decoder::Decoder;
 use crate::shapecheck::ShapeError;
@@ -129,10 +131,9 @@ impl ExecMode {
 /// the probe pass).
 struct ExecState {
     mode: ExecMode,
-    /// Plan-build-time verification (`BIKECAP_VERIFY`): in `strict` a plan
-    /// with a proven invariant violation is rejected (the shape stays on
-    /// the eager oracle); in `warn` violations only surface as
-    /// `ir.verify.*` obs events.
+    /// Plan-build-time verification: in `Strict` (the default) a plan with
+    /// a proven invariant violation is rejected and the shape stays on the
+    /// eager oracle; `Off` skips verification.
     verify: VerifyMode,
     plans: Mutex<HashMap<Vec<usize>, Option<Arc<ModelPlan>>>>,
     arenas: Mutex<HashMap<Vec<usize>, Vec<Arena>>>,
@@ -142,7 +143,7 @@ impl ExecState {
     fn new() -> ExecState {
         ExecState {
             mode: ExecMode::from_env(),
-            verify: VerifyMode::from_env(),
+            verify: VerifyMode::Strict,
             plans: Mutex::new(HashMap::new()),
             arenas: Mutex::new(HashMap::new()),
         }
@@ -381,6 +382,17 @@ impl BikeCap {
     ///
     /// Panics on shape mismatches.
     pub fn forward(&self, tape: &mut Tape, x: Var) -> Var {
+        self.forward_sampled(tape, x, None)
+    }
+
+    /// [`BikeCap::forward`], also collecting the routing signals into
+    /// `samples` when given.
+    fn forward_sampled(
+        &self,
+        tape: &mut Tape,
+        x: Var,
+        samples: Option<&mut RoutingSamples>,
+    ) -> Var {
         let _span = bikecap_obs::span("core.forward");
         let xs = tape.value(x).shape().to_vec();
         assert_eq!(xs.len(), 5, "BikeCap expects (B, F, h, H, W), got {xs:?}");
@@ -391,7 +403,7 @@ impl BikeCap {
             tape.narrow(x, 1, 0, 2)
         };
         let caps = self.encoder.forward(tape, x, &self.store);
-        let future = self.routing.forward(tape, caps, &self.store);
+        let future = self.routing.forward_sampled(tape, caps, &self.store, samples);
         self.decoder.forward(tape, future, &self.store)
     }
 
@@ -409,6 +421,28 @@ impl BikeCap {
         } else {
             out
         }
+    }
+
+    /// Predicts like [`BikeCap::predict`] on the eager oracle, whatever the
+    /// [`ExecMode`], and returns the routing convergence signals of that
+    /// forward pass as a value. The prediction is bitwise the eager
+    /// `predict`; the stats are bitwise the mean of the
+    /// `core.routing.iter*` values an obs sink would capture for the same
+    /// call, and do not depend on obs being enabled. The compiled plan
+    /// never materialises coupling coefficients, hence the eager walk.
+    ///
+    /// # Panics
+    ///
+    /// Panics on shape mismatches.
+    pub fn predict_with_routing(&self, input: &Tensor) -> (Tensor, RoutingStats) {
+        let mut samples = RoutingSamples::default();
+        let out = self.infer_eager(Self::stage_input(input), Some(&mut samples));
+        let out = if input.ndim() == 4 {
+            Self::drop_batch_axis(&out)
+        } else {
+            out
+        };
+        (out, samples.stats())
     }
 
     /// Reshapes a rank-4 window `(F, h, H, W)` into a batch of one; passes
@@ -436,16 +470,16 @@ impl BikeCap {
         if let Some(out) = self.infer_compiled(&stacked) {
             return out;
         }
-        self.infer_eager(stacked)
+        self.infer_eager(stacked, None)
     }
 
     /// The eager oracle: walks a fresh autograd tape. Kept callable under
     /// any [`ExecMode`] — it is the reference the compiled path must match
     /// bitwise, and the fallback when compilation or execution errors.
-    fn infer_eager(&self, stacked: Tensor) -> Tensor {
+    fn infer_eager(&self, stacked: Tensor, samples: Option<&mut RoutingSamples>) -> Tensor {
         let mut tape = Tape::new();
         let x = tape.constant(stacked);
-        let y = self.forward(&mut tape, x);
+        let y = self.forward_sampled(&mut tape, x, samples);
         tape.value(y).clone()
     }
 
@@ -532,13 +566,12 @@ impl BikeCap {
         if want.channels != 1 || plan.out_shape() != expect {
             return None;
         }
-        if self.exec.verify != VerifyMode::Off {
-            let report = bikecap_verify::verify_plan(&plan);
-            if !report.is_clean() && self.exec.verify == VerifyMode::Strict {
-                // A proven invariant violation: refuse the plan and keep
-                // this shape on the eager oracle.
-                return None;
-            }
+        if self.exec.verify == VerifyMode::Strict
+            && !bikecap_verify::verify_plan(&plan).is_clean()
+        {
+            // A proven invariant violation: refuse the plan and keep this
+            // shape on the eager oracle.
+            return None;
         }
         Some(Arc::new(plan))
     }
@@ -556,8 +589,8 @@ impl BikeCap {
         self.exec.mode = mode;
     }
 
-    /// The plan-verification mode this model resolved at build time (from
-    /// `BIKECAP_VERIFY`); reported by `/healthz` next to the executor.
+    /// The plan-verification mode (`Strict` unless overridden); reported by
+    /// `/healthz` next to the executor.
     pub fn verify_mode(&self) -> VerifyMode {
         self.exec.verify
     }
@@ -634,7 +667,7 @@ impl BikeCap {
                 bikecap_obs::value("ir.exec.fallback", 1.0);
             }
         }
-        let eager = self.infer_eager(Self::stage_input(input));
+        let eager = self.infer_eager(Self::stage_input(input), None);
         if out.len() != eager.as_slice().len() {
             return Err(IrError::Exec(format!(
                 "output buffer has {} scalars, model produces {}",

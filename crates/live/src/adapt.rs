@@ -3,11 +3,13 @@
 //!
 //! [`LiveLoop`] wires the crate's pieces to a serving [`ModelEntry`]:
 //!
-//! 1. A *monitor* copy of the incumbent runs in eager mode (the only
-//!    execution mode that emits routing telemetry) and predicts each newly
-//!    sealed slot from the rolling window. Its absolute error plus the
-//!    captured `core.routing.iter*` entropy/agreement statistics feed the
-//!    [`DriftDetector`].
+//! 1. The model currently serving predicts each newly sealed slot from the
+//!    rolling window through `BikeCap::predict_with_routing`, which returns
+//!    the routing convergence signals (coupling entropy, agreement delta)
+//!    as a value next to the prediction. Its absolute error plus those two
+//!    signals feed the [`DriftDetector`]. Because the entry is read on
+//!    every slot, drift is always scored against the model that is
+//!    actually serving, including after an external `POST /admin/reload`.
 //! 2. On confirmed drift the incumbent's weights are checkpointed, a
 //!    candidate is fine-tuned on the fresh window through
 //!    `BikeCap::fit_resilient` — inheriting its autosave and
@@ -23,7 +25,8 @@
 //! `live.adapt.shadow` (shadow evaluation invalidated), `live.adapt.swap`
 //! (swap vetoed after a winning eval). Obs: `live.slot` / `live.adapt` /
 //! `live.adapt.shadow` spans and `live.monitor.error`, `live.adapt.*`
-//! value events. Metrics: drift score/state gauges and
+//! value events, sent to whatever sink is installed; the loop never
+//! installs one of its own. Metrics: drift score/state gauges and
 //! swap/rollback/refusal counters when a [`Metrics`] handle is attached.
 //!
 //! Determinism: the loop holds no RNG and never reads the clock; model
@@ -33,13 +36,13 @@
 
 use std::path::PathBuf;
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use bikecap_city_sim::dataset::{ForecastDataset, Normalizer, Split};
 use bikecap_city_sim::{FEATURES, F_BIKE_PICKUP};
 use bikecap_core::trainer::{ResilientOptions, TrainerError};
-use bikecap_core::{BikeCap, ExecMode, TrainOptions};
-use bikecap_obs::{Event, Kind, Sink};
+use bikecap_core::{BikeCap, TrainOptions};
+use bikecap_obs::Sink;
 use bikecap_serve::registry::ModelEntry;
 use bikecap_serve::Metrics;
 use bikecap_tensor::Tensor;
@@ -47,70 +50,6 @@ use bikecap_tensor::Tensor;
 use crate::drift::{DriftDetector, DriftState, DriftThresholds, SlotSignals};
 use crate::stream::RecordStream;
 use crate::window::{RollingWindow, WindowError};
-
-/// An obs sink that siphons routing telemetry while forwarding every event
-/// to an optional inner sink (so traces and chaos dumps keep working while
-/// the live loop listens).
-pub struct RoutingProbe {
-    inner: Option<Arc<dyn Sink>>,
-    entropy: Mutex<Vec<f64>>,
-    agreement: Mutex<Vec<f64>>,
-}
-
-impl RoutingProbe {
-    /// A probe forwarding to `inner` (pass the test's `MemorySink` here to
-    /// keep receiving events while the loop runs).
-    pub fn new(inner: Option<Arc<dyn Sink>>) -> Self {
-        RoutingProbe {
-            inner,
-            entropy: Mutex::new(Vec::new()),
-            agreement: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// Drains the captured samples, returning `(mean entropy, mean
-    /// agreement delta)` — `(0.0, 0.0)` when nothing was captured.
-    pub fn take(&self) -> (f64, f64) {
-        let mean = |buf: &Mutex<Vec<f64>>| {
-            let mut v = buf.lock().unwrap_or_else(|e| e.into_inner());
-            if v.is_empty() {
-                0.0
-            } else {
-                let m = v.iter().sum::<f64>() / v.len() as f64;
-                v.clear();
-                m
-            }
-        };
-        (mean(&self.entropy), mean(&self.agreement))
-    }
-}
-
-impl Sink for RoutingProbe {
-    fn record(&self, event: &Event) {
-        if event.kind == Kind::Value && event.name.starts_with("core.routing.iter") {
-            if event.name.ends_with(".entropy") {
-                self.entropy
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .push(event.value);
-            } else if event.name.ends_with(".agreement_delta") {
-                self.agreement
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .push(event.value);
-            }
-        }
-        if let Some(inner) = &self.inner {
-            inner.record(event);
-        }
-    }
-
-    fn flush(&self) {
-        if let Some(inner) = &self.inner {
-            inner.flush();
-        }
-    }
-}
 
 /// Configuration of a [`LiveLoop`].
 #[derive(Debug, Clone)]
@@ -134,7 +73,7 @@ pub struct LiveConfig {
     pub train: TrainOptions,
     /// Seed for the fine-tuning epoch streams.
     pub seed: u64,
-    /// Directory for the monitor/incumbent/candidate checkpoints.
+    /// Directory for the incumbent/candidate checkpoints.
     pub work_dir: PathBuf,
     /// Fractional validation-MAE improvement a candidate must show to be
     /// swapped in (`0.0` = any improvement wins).
@@ -258,27 +197,19 @@ pub struct LiveLoop {
     config: LiveConfig,
     window: RollingWindow,
     detector: DriftDetector,
-    /// Eager-mode twin of the incumbent (routing telemetry only exists on
-    /// the eager path); re-synced after every successful swap.
-    monitor: BikeCap,
     normalizer: Normalizer,
-    probe: Arc<RoutingProbe>,
     metrics: Option<Arc<Metrics>>,
     report: LiveReport,
 }
 
 impl LiveLoop {
-    /// Binds a loop to `entry`. Copies the incumbent into the eager-mode
-    /// monitor via a checkpoint round-trip under `config.work_dir`, and
-    /// installs a [`RoutingProbe`] as the process obs sink, forwarding to
-    /// `trace` (pass the current sink to keep it fed). The probe stays
-    /// installed after the loop finishes; call `bikecap_obs::clear` to
-    /// detach it.
+    /// Binds a loop to `entry`. `trace: Some(sink)` installs `sink` as the
+    /// process obs sink; `None` leaves whatever sink is installed (or none)
+    /// alone.
     ///
     /// # Errors
     ///
-    /// Returns an error when the work directory or the monitor checkpoint
-    /// round-trip fails.
+    /// Returns an error when the work directory cannot be created.
     pub fn new(
         entry: Arc<ModelEntry>,
         config: LiveConfig,
@@ -286,14 +217,6 @@ impl LiveLoop {
         trace: Option<Arc<dyn Sink>>,
     ) -> std::io::Result<Self> {
         std::fs::create_dir_all(&config.work_dir)?;
-        let monitor_path = config.work_dir.join("monitor.ckpt");
-        entry.current().save_checkpoint(&monitor_path)?;
-        let mut monitor = BikeCap::build_seeded(entry.config().clone(), 0)
-            .map_err(std::io::Error::other)?;
-        monitor
-            .load_checkpoint(&monitor_path)
-            .map_err(std::io::Error::other)?;
-        monitor.set_exec_mode(ExecMode::Eager);
         let cfg = entry.config();
         let window = RollingWindow::new(
             cfg.grid_height,
@@ -302,17 +225,16 @@ impl LiveLoop {
             config.window_capacity,
         );
         let detector = DriftDetector::new(config.thresholds.clone());
-        let probe = Arc::new(RoutingProbe::new(trace));
-        bikecap_obs::install(Arc::clone(&probe) as Arc<dyn Sink>);
+        if let Some(sink) = trace {
+            bikecap_obs::install(sink);
+        }
         let normalizer = config.normalizer.clone();
         Ok(LiveLoop {
             entry,
             config,
             window,
             detector,
-            monitor,
             normalizer,
-            probe,
             metrics,
             report: LiveReport::default(),
         })
@@ -413,9 +335,9 @@ impl LiveLoop {
         Ok(())
     }
 
-    /// Predicts slot `slot-p+1..=slot` from the history before it and
-    /// returns the monitor's error plus routing telemetry.
-    fn monitor_signals(&mut self, slot: usize) -> Option<SlotSignals> {
+    /// Predicts slot `slot-p+1..=slot` from the history before it with the
+    /// serving model and returns its error plus routing telemetry.
+    fn monitor_signals(&self, slot: usize) -> Option<SlotSignals> {
         let h = self.config.history;
         let p = self.config.horizon;
         let (gh, gw) = (self.window_height(), self.window_width());
@@ -439,9 +361,8 @@ impl LiveLoop {
         }
         let input = self.normalize_input(&input);
 
-        self.probe.take(); // discard any stale telemetry
-        let pred = self.monitor.predict(&input); // (1, p, H, W), normalized
-        let (entropy, agreement) = self.probe.take();
+        // (1, p, H, W), normalized.
+        let (pred, routing) = self.entry.current().predict_with_routing(&input);
 
         // Target: observed bike pick-ups over slots (slot-p+1 ..= slot),
         // normalized with the bike channel's fitted range.
@@ -461,8 +382,8 @@ impl LiveLoop {
         let error = abs_err / (p * plane) as f64;
         Some(SlotSignals {
             error,
-            entropy,
-            agreement,
+            entropy: routing.entropy,
+            agreement: routing.agreement,
         })
     }
 
@@ -586,12 +507,7 @@ impl LiveLoop {
             m.live_swaps_total.fetch_add(1, Ordering::Relaxed);
             m.degraded.store(false, Ordering::Relaxed);
         }
-        // Re-sync the monitor and normaliser to the new incumbent.
-        if let Err(e) = self.monitor.load_checkpoint(&candidate_path) {
-            return Err(std::io::Error::other(format!(
-                "monitor resync after swap failed: {e}"
-            )));
-        }
+        // Re-sync the normaliser to the new incumbent.
         self.normalizer = dataset.normalizer().clone();
         self.detector.complete(true);
         self.report.swaps += 1;
@@ -661,38 +577,6 @@ fn mae_over(model: &BikeCap, dataset: &ForecastDataset, anchors: &[usize], chunk
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bikecap_obs::MemorySink;
-    use std::borrow::Cow;
-
-    fn event(name: &str, value: f64, kind: Kind) -> Event {
-        Event {
-            ts_us: 0,
-            tid: 1,
-            depth: 0,
-            kind,
-            name: Cow::Owned(name.to_string()),
-            value,
-        }
-    }
-
-    #[test]
-    fn probe_captures_routing_telemetry_and_forwards() {
-        let inner = Arc::new(MemorySink::new(16));
-        let probe = RoutingProbe::new(Some(inner.clone()));
-        probe.record(&event("core.routing.iter0.entropy", 1.0, Kind::Value));
-        probe.record(&event("core.routing.iter1.entropy", 3.0, Kind::Value));
-        probe.record(&event("core.routing.iter1.agreement_delta", 0.5, Kind::Value));
-        probe.record(&event("core.forward", 0.0, Kind::Begin));
-        probe.record(&event("train.loss", 9.0, Kind::Value)); // unrelated
-        let (entropy, agreement) = probe.take();
-        assert_eq!(entropy, 2.0);
-        assert_eq!(agreement, 0.5);
-        // Drained: a second take is neutral.
-        assert_eq!(probe.take(), (0.0, 0.0));
-        // Everything was forwarded to the inner sink.
-        assert_eq!(inner.snapshot().len(), 5);
-        probe.flush();
-    }
 
     #[test]
     fn report_fingerprint_tracks_content() {

@@ -1,10 +1,11 @@
 //! Drift detection: typed thresholds and a hysteresis/cooldown state
 //! machine over prediction-error and routing-telemetry signals.
 //!
-//! Every sealed slot contributes one [`SlotSignals`] sample: the monitor
+//! Every sealed slot contributes one [`SlotSignals`] sample: the serving
 //! model's rolling prediction error against the live window, plus the two
-//! routing-telemetry statistics the model already emits through obs
-//! (`core.routing.iter*.entropy` and `.agreement_delta`). The detector
+//! routing-telemetry statistics `BikeCap::predict_with_routing` returns
+//! with that prediction (the means of `core.routing.iter*.entropy` and
+//! `.agreement_delta`, the same values operator traces see). The detector
 //! freezes a baseline (per-signal mean and standard deviation) over the
 //! first [`DriftThresholds::min_baseline_slots`] samples, then scores each
 //! slot by its worst normalized deviation: distance from the baseline mean
@@ -124,12 +125,12 @@ impl DriftState {
 /// One sealed slot's worth of monitoring signals.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SlotSignals {
-    /// Mean absolute prediction error of the monitor model on this slot
+    /// Mean absolute prediction error of the serving model on this slot
     /// (normalized domain).
     pub error: f64,
-    /// Mean routing coupling entropy over the monitor predict.
+    /// Mean routing coupling entropy over the scoring predict.
     pub entropy: f64,
-    /// Mean routing agreement delta over the monitor predict.
+    /// Mean routing agreement delta over the scoring predict.
     pub agreement: f64,
 }
 

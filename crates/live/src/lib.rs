@@ -17,9 +17,10 @@
 //! 3. **Drift detection** ([`drift`]) — a hysteresis state machine
 //!    (`Stable → Suspect → Drifted → Retraining → RolledBack`) over three
 //!    signals: rolling prediction error against the live window, plus the
-//!    routing-telemetry values the model already emits (coupling entropy,
-//!    agreement delta). Single noisy slots never trigger; sustained regime
-//!    shifts always do, within a configured confirmation window.
+//!    routing-telemetry values the model returns with each prediction
+//!    (coupling entropy, agreement delta). Single noisy slots never
+//!    trigger; sustained regime shifts always do, within a configured
+//!    confirmation window.
 //! 4. **Adaptation** ([`adapt`]) — on confirmed drift the incumbent is
 //!    fine-tuned on the fresh window via `fit_resilient` (inheriting its
 //!    autosave and divergence-rollback machinery), shadow-evaluated against

@@ -13,7 +13,7 @@
 //!   racing boundary.
 //! * Reductions ([`reduce`]) combine chunk partials in a fixed binary tree
 //!   over the chunk boundaries, pairwise per round, on the calling thread.
-//!   [`Backend::Serial`] evaluates the *same* chunks and the *same* tree
+//!   A one-thread pool evaluates the *same* chunks and the *same* tree
 //!   sequentially, so `serial == parallel` holds bitwise, not just
 //!   approximately.
 //!
@@ -33,8 +33,8 @@
 //!
 //! The process-global pool sizes itself from `BIKECAP_THREADS`, the
 //! `--threads` CLI flag (via [`set_threads`]), or available parallelism, in
-//! that order; `BIKECAP_BACKEND=serial` (or [`set_backend`]) forces every
-//! entry point inline for debugging. Because decomposition is
+//! that order; one thread (`BIKECAP_THREADS=1` or `set_threads(1)`) runs
+//! every entry point inline for debugging. Because decomposition is
 //! thread-count-independent, reconfiguring the pool never changes results.
 //!
 //! Workers emit `bikecap-obs` spans (`rt.worker{i}`, and `rt.parallel_for`
@@ -49,7 +49,7 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, RwLock};
 use std::thread;
 
@@ -157,46 +157,6 @@ fn payload_message(payload: &(dyn Any + Send)) -> String {
     } else {
         "non-string panic payload".to_string()
     }
-}
-
-// ---------------------------------------------------------------------------
-// Backend switch
-// ---------------------------------------------------------------------------
-
-/// How parallel entry points execute. Results are bitwise-identical either
-/// way; `Serial` exists for debugging and for A/B benchmarking.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Backend {
-    /// Run chunks on the process-global pool (the default).
-    Parallel,
-    /// Run the same chunks, in index order, inline on the calling thread.
-    Serial,
-}
-
-fn backend_cell() -> &'static AtomicU8 {
-    static BACKEND: OnceLock<AtomicU8> = OnceLock::new();
-    BACKEND.get_or_init(|| {
-        let serial = std::env::var("BIKECAP_BACKEND")
-            .map(|v| v.trim().eq_ignore_ascii_case("serial"))
-            .unwrap_or(false);
-        AtomicU8::new(u8::from(serial))
-    })
-}
-
-/// The currently selected [`Backend`] (initially from `BIKECAP_BACKEND`,
-/// defaulting to [`Backend::Parallel`]).
-pub fn backend() -> Backend {
-    if backend_cell().load(Ordering::Relaxed) == 1 {
-        Backend::Serial
-    } else {
-        Backend::Parallel
-    }
-}
-
-/// Selects the execution [`Backend`] process-wide. Safe to flip at any time:
-/// outputs do not depend on it.
-pub fn set_backend(backend: Backend) {
-    backend_cell().store(u8::from(backend == Backend::Serial), Ordering::Relaxed);
 }
 
 // ---------------------------------------------------------------------------
@@ -604,7 +564,7 @@ fn run_job(total: usize, f: &(dyn Fn(usize) + Sync)) -> Result<(), JobFailure> {
     }
     // Miri has no real parallelism and flags leaked pool threads; the serial
     // path is bitwise-identical anyway.
-    let force_serial = cfg!(miri) || total == 1 || backend() == Backend::Serial;
+    let force_serial = cfg!(miri) || total == 1;
     let pool = if force_serial { None } else { Some(current_pool()) };
     let pool = match pool {
         Some(pool) if pool.threads > 1 => pool,
@@ -790,7 +750,7 @@ where
 /// `map` (in parallel), then folds the chunk partials with `fold` in a
 /// **fixed binary tree** — pairwise per round, `(0,1)(2,3)…`, on the calling
 /// thread. The tree shape depends only on the chunk count, so the result is
-/// bitwise-identical for any thread count and for [`Backend::Serial`].
+/// bitwise-identical for any thread count, one included.
 ///
 /// Returns `None` for an empty range.
 ///
@@ -925,7 +885,7 @@ mod tests {
     }
 
     #[test]
-    fn reduce_is_bitwise_stable_across_threads_and_backend() {
+    fn reduce_is_bitwise_stable_across_threads() {
         // f32 sums expose any associativity change immediately.
         let xs: Vec<f32> = (0..12_345)
             .map(|i| ((i as f32) * 0.37).sin() * 1e3)
@@ -939,9 +899,8 @@ mod tests {
             )
             .unwrap()
         };
-        set_backend(Backend::Serial);
+        set_threads(1);
         let serial = run();
-        set_backend(Backend::Parallel);
         for threads in [1usize, 2, 4, 7] {
             set_threads(threads);
             assert_eq!(run().to_bits(), serial.to_bits(), "threads={threads}");

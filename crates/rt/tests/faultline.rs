@@ -7,7 +7,7 @@
 #![cfg(feature = "faultline")]
 
 use bikecap_faults::{FaultPlan, Trigger};
-use bikecap_rt::{try_parallel_for, try_reduce, Backend, RtError, CHUNK_FAILPOINT};
+use bikecap_rt::{try_parallel_for, try_reduce, RtError, CHUNK_FAILPOINT};
 
 #[test]
 fn chunk_failpoint_injects_typed_error_and_pool_recovers() {
@@ -25,14 +25,14 @@ fn chunk_failpoint_injects_typed_error_and_pool_recovers() {
     let err = try_reduce(100, 10, |r| r.len(), |a, b| a + b).unwrap_err();
     assert!(matches!(err, RtError::Injected { .. }));
 
-    // Injection parity: Backend::Serial runs the same per-chunk failpoint,
-    // so a chaos schedule reproduces identically with the pool disabled.
-    bikecap_rt::set_backend(Backend::Serial);
+    // Injection parity: a one-thread pool runs the same per-chunk
+    // failpoint, so a chaos schedule reproduces identically without workers.
+    bikecap_rt::set_threads(1);
     let err = try_parallel_for(4, |_| {}).unwrap_err();
     assert!(matches!(err, RtError::Injected { .. }));
-    bikecap_rt::set_backend(Backend::Parallel);
+    bikecap_rt::set_threads(4);
 
-    // Disarming restores normal service on the same pool.
+    // Disarming restores normal service on a multi-thread pool.
     bikecap_faults::clear();
     assert!(try_parallel_for(8, |_| {}).is_ok());
     bikecap_rt::set_threads(0);

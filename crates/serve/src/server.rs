@@ -353,7 +353,7 @@ fn healthz(inner: &Inner) -> (u16, String) {
         .get(None)
         .map(|entry| entry.current().exec_mode().name())
         .unwrap_or("none");
-    // Ditto for the plan-verification mode (BIKECAP_VERIFY).
+    // Ditto for the plan-verification mode.
     let verify = inner
         .registry
         .get(None)
@@ -738,7 +738,7 @@ mod tests {
         let executor = doc.get("executor").and_then(Json::as_str);
         assert!(matches!(executor, Some("compiled" | "eager")), "{body}");
         let verify = doc.get("verify").and_then(Json::as_str);
-        assert!(matches!(verify, Some("strict" | "warn" | "off")), "{body}");
+        assert!(matches!(verify, Some("strict" | "off")), "{body}");
         // Every registered model reports its numeric precision; the test
         // model is built from f32 weights, so it reports plain f32.
         let precision = doc

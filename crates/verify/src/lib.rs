@@ -31,8 +31,8 @@
 //! (offset swap, dropped release, shrunk extent) to prove the verifier
 //! actually rejects broken plans, not just accepts good ones.
 //!
-//! Wire-up: `BIKECAP_VERIFY=strict|warn|off` gates plan-build-time
-//! verification in bikecap-core (see [`VerifyMode`]), the
+//! Wire-up: bikecap-core verifies every plan it compiles and refuses one
+//! with a proven violation (see [`VerifyMode`]), the
 //! `bikecap-check verify-plans` subcommand sweeps the EXPERIMENTS.md grid,
 //! and every verification emits an `ir.verify.plan` span plus
 //! `ir.verify.pass` / `ir.verify.violations` values through bikecap-obs.
@@ -43,35 +43,22 @@ use std::fmt;
 
 use bikecap_ir::{ModelPlan, PlanView, SlabRole};
 
-/// How plan-build-time verification behaves (`BIKECAP_VERIFY`).
+/// How plan-build-time verification behaves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum VerifyMode {
     /// Verify every compiled plan; a violation rejects the plan and the
-    /// model falls back to the eager tape walk for that shape.
+    /// model falls back to the eager tape walk for that shape (the default).
     Strict,
-    /// Verify every compiled plan; violations are reported through
-    /// bikecap-obs but the plan is still used (the default).
-    Warn,
-    /// Skip verification entirely.
+    /// Skip verification entirely (set programmatically, e.g. to measure
+    /// verification overhead).
     Off,
 }
 
 impl VerifyMode {
-    /// Reads `BIKECAP_VERIFY` (`strict` / `warn` / `off`, case-insensitive);
-    /// unset or unrecognised values fall back to [`VerifyMode::Warn`].
-    pub fn from_env() -> VerifyMode {
-        match std::env::var("BIKECAP_VERIFY") {
-            Ok(v) if v.eq_ignore_ascii_case("strict") => VerifyMode::Strict,
-            Ok(v) if v.eq_ignore_ascii_case("off") => VerifyMode::Off,
-            _ => VerifyMode::Warn,
-        }
-    }
-
     /// Lower-case mode name, as reported by `/healthz`.
     pub fn name(self) -> &'static str {
         match self {
             VerifyMode::Strict => "strict",
-            VerifyMode::Warn => "warn",
             VerifyMode::Off => "off",
         }
     }
@@ -633,7 +620,6 @@ mod tests {
     #[test]
     fn verify_mode_names_round_trip() {
         assert_eq!(VerifyMode::Strict.name(), "strict");
-        assert_eq!(VerifyMode::Warn.name(), "warn");
         assert_eq!(VerifyMode::Off.name(), "off");
     }
 }

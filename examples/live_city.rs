@@ -11,9 +11,10 @@
 //!    serving slot (the same `ModelRegistry` the HTTP server uses).
 //! 2. Replay a fresh record stream whose final day carries a weather
 //!    shock, record by record, into a rolling 15-minute demand window.
-//! 3. An eager-mode monitor copy predicts every sealed slot; its error and
-//!    the routing telemetry (coupling entropy, agreement delta) drive a
-//!    hysteresis state machine: Stable → Suspect → Drifted.
+//! 3. The serving model predicts every sealed slot through
+//!    `predict_with_routing`; its error and the routing telemetry it
+//!    returns (coupling entropy, agreement delta) drive a hysteresis state
+//!    machine: Stable → Suspect → Drifted.
 //! 4. On confirmed drift the incumbent is fine-tuned on the fresh window
 //!    (`fit_resilient`, with autosave and divergence rollback), shadow-
 //!    evaluated against the incumbent, and hot-swapped only if it wins.
@@ -110,7 +111,6 @@ fn main() {
             f64::from(live_sim.total_minutes()),
         )
         .expect("live loop run");
-    bikecap::obs::clear();
 
     println!(
         "{} records -> {} sealed slots; detector saw:",

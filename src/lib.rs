@@ -27,7 +27,7 @@
 //!   and the checkpoint dtype policy behind `bikecap quantize`.
 //! * [`verify`] — static verifier for compiled executor plans: proves slab
 //!   disjointness, refcount balance, bounds, and schedule validity per
-//!   plan (`BIKECAP_VERIFY=strict|warn|off`), plus the mutation harness
+//!   plan (every compiled plan, strictly), plus the mutation harness
 //!   that keeps the verifier itself honest.
 //!
 //! See `examples/quickstart.rs` for an end-to-end walkthrough.

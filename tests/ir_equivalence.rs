@@ -10,7 +10,7 @@
 //! like their eager counterparts).
 
 use bikecap::model::{BikeCap, BikeCapConfig, ExecMode};
-use bikecap::rt::{self, Backend};
+use bikecap::rt;
 use bikecap::tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -91,7 +91,7 @@ fn compiled_is_bitwise_stable_across_thread_counts() {
     let mut rng = StdRng::seed_from_u64(7);
     let window = Tensor::rand_uniform(&[3, 4, 8, 8, 8], 0.0, 1.0, &mut rng);
 
-    rt::set_backend(Backend::Serial);
+    rt::set_threads(1);
     model.set_exec_mode(ExecMode::Eager);
     let reference = model.predict(&window);
 
@@ -99,7 +99,6 @@ fn compiled_is_bitwise_stable_across_thread_counts() {
     let serial_compiled = model.predict(&window);
     assert_bitwise_eq("serial compiled", &reference, &serial_compiled);
 
-    rt::set_backend(Backend::Parallel);
     for &threads in THREADS {
         rt::set_threads(threads);
         let got = model.predict(&window);

@@ -7,8 +7,8 @@
 //! allocations. A counting global allocator (this test binary only) turns
 //! that from a design note into a regression gate.
 //!
-//! The gate runs on the serial backend **and** on the pool at 2 and 4
-//! threads: bikecap-rt recycles job shells through a per-pool freelist, so
+//! The gate runs on one thread (inline, no workers) **and** on the pool at
+//! 2 and 4 threads: bikecap-rt recycles job shells through a per-pool freelist, so
 //! steady-state parallel dispatch is allocation-free too (this caught the
 //! 4 → 14 allocs/iter regression BENCH_parallel.json recorded before the
 //! freelist landed). The serial path runs the exact same kernel bodies
@@ -19,7 +19,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use bikecap::model::{BikeCap, BikeCapConfig, ExecMode};
-use bikecap::rt::{self, Backend};
+use bikecap::rt;
 use bikecap::tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -49,13 +49,7 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 #[test]
 fn steady_state_compiled_predict_does_not_allocate() {
-    let configs: [(Backend, usize); 3] = [
-        (Backend::Serial, 1),
-        (Backend::Parallel, 2),
-        (Backend::Parallel, 4),
-    ];
-    for (backend, threads) in configs {
-        rt::set_backend(backend);
+    for threads in [1, 2, 4] {
         rt::set_threads(threads);
         let config = BikeCapConfig::new(8, 8).history(8).horizon(4);
         let mut model = BikeCap::seeded(config, 42);
@@ -64,7 +58,7 @@ fn steady_state_compiled_predict_does_not_allocate() {
         let window = Tensor::rand_uniform(&[4, 8, 8, 8], 0.0, 1.0, &mut rng);
 
         // Warm-up: compiles the plan, builds the arena, fills every pool —
-        // including the rt job-shell freelist on the parallel backend.
+        // including the rt job-shell freelist on a multi-thread pool.
         let expected = model.predict(&window);
         let mut out = vec![0.0f32; expected.as_slice().len()];
         model.predict_into(&window, &mut out).expect("warm-up");
@@ -78,7 +72,7 @@ fn steady_state_compiled_predict_does_not_allocate() {
             after - before,
             0,
             "steady-state compiled predict_into must be allocation-free \
-             (backend {backend:?}, threads {threads})"
+             (threads {threads})"
         );
 
         // And it still computed the right thing.
@@ -86,11 +80,10 @@ fn steady_state_compiled_predict_does_not_allocate() {
             assert_eq!(
                 a.to_bits(),
                 b.to_bits(),
-                "element {i} diverges (backend {backend:?}, threads {threads})"
+                "element {i} diverges (threads {threads})"
             );
         }
     }
-    rt::set_backend(Backend::Parallel);
     rt::set_threads(0);
 }
 

@@ -48,8 +48,8 @@ fn chaos_seed() -> u64 {
 }
 
 /// Held for a test's whole body: serialises on the process-global fault
-/// plan and obs sink (the live loop installs its routing probe as the
-/// process sink), and replays the obs ring to stderr if the test panics.
+/// plan and obs sink (the live loop keeps feeding the ring installed
+/// here), and replays the obs ring to stderr if the test panics.
 struct ChaosGuard {
     _dump: bikecap::obs::PanicDump,
     _lock: MutexGuard<'static, ()>,

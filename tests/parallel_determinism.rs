@@ -14,7 +14,7 @@
 //! itself guarantees results don't depend on the settings mid-flight).
 
 use bikecap::model::{BikeCap, BikeCapConfig};
-use bikecap::rt::{self, Backend};
+use bikecap::rt;
 use bikecap::tensor::conv::{conv3d, conv_transpose3d, Conv3dSpec};
 use bikecap::tensor::Tensor;
 use rand::rngs::StdRng;
@@ -38,9 +38,8 @@ fn assert_bitwise_eq(label: &str, reference: &Tensor, got: &Tensor) {
 /// Runs `op` serially, then at every thread count in [`THREADS`], asserting
 /// bitwise equality throughout; restores auto settings afterwards.
 fn check_all_thread_counts(label: &str, op: impl Fn() -> Tensor) {
-    rt::set_backend(Backend::Serial);
+    rt::set_threads(1);
     let reference = op();
-    rt::set_backend(Backend::Parallel);
     for &threads in THREADS {
         rt::set_threads(threads);
         let got = op();
@@ -71,9 +70,8 @@ fn predict_batch_is_bitwise_identical_across_thread_counts() {
         .map(|_| Tensor::rand_uniform(&[4, 8, 8, 8], 0.0, 1.0, &mut rng))
         .collect();
 
-    rt::set_backend(Backend::Serial);
+    rt::set_threads(1);
     let reference = model.predict_batch(&inputs);
-    rt::set_backend(Backend::Parallel);
     for &threads in THREADS {
         rt::set_threads(threads);
         let got = model.predict_batch(&inputs);

@@ -11,7 +11,7 @@ use std::path::PathBuf;
 
 use bikecap::model::{BikeCap, BikeCapConfig, ExecMode};
 use bikecap::quant::QuantFormat;
-use bikecap::rt::{self, Backend};
+use bikecap::rt;
 use bikecap::tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -63,7 +63,6 @@ fn quantized_checkpoint_is_storage_only() {
     let window = Tensor::rand_uniform(&[3, 4, 8, 8, 8], 0.0, 1.0, &mut rng);
     let single = Tensor::rand_uniform(&[4, 8, 8, 8], 0.0, 1.0, &mut rng);
 
-    rt::set_backend(Backend::Parallel);
     for mode in [ExecMode::Eager, ExecMode::Compiled] {
         quantized.set_exec_mode(mode);
         dequantized.set_exec_mode(mode);

@@ -46,8 +46,13 @@ fn data_of(body: &str) -> Vec<f64> {
         .collect()
 }
 
+/// A checkpoint path in a directory of its own: `bikecap serve` sweeps
+/// every `*.tmp` file out of its checkpoint's directory at startup, which
+/// must not delete another test's in-flight save.
 fn checkpoint_path(tag: &str) -> std::path::PathBuf {
-    std::env::temp_dir().join(format!("bikecap-e2e-{tag}-{}.ckpt", std::process::id()))
+    let dir = std::env::temp_dir().join(format!("bikecap-e2e-{tag}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    dir.join("model.ckpt")
 }
 
 /// Starts a server whose default model comes from a saved checkpoint —
@@ -158,7 +163,7 @@ fn batched_responses_match_single_requests_bit_for_bit() {
     assert!(multi >= 1, "histogram should record a multi-request batch");
 
     server.shutdown();
-    std::fs::remove_file(ckpt).ok();
+    std::fs::remove_dir_all(ckpt.parent().unwrap()).ok();
 }
 
 #[test]
@@ -218,7 +223,7 @@ fn saturated_queue_answers_503_and_accepted_requests_still_complete() {
     );
     assert_eq!(metrics.responses_ok.load(Ordering::Relaxed) as usize, ok);
     server.shutdown();
-    std::fs::remove_file(ckpt).ok();
+    std::fs::remove_dir_all(ckpt.parent().unwrap()).ok();
 }
 
 #[test]
@@ -249,7 +254,7 @@ fn shutdown_waits_for_accepted_work() {
     server.shutdown();
     let (status, body) = client.join().unwrap();
     assert_eq!(status, 200, "in-flight request must be drained, got {body}");
-    std::fs::remove_file(ckpt).ok();
+    std::fs::remove_dir_all(ckpt.parent().unwrap()).ok();
 }
 
 /// Boots the real `bikecap` binary with `serve --checkpoint`, speaks HTTP to
@@ -312,5 +317,5 @@ fn cli_serve_answers_http_and_drains_on_sigterm() {
     assert!(killed.success());
     let exit = child.wait().unwrap();
     assert!(exit.success(), "SIGTERM should drain and exit 0, got {exit}");
-    std::fs::remove_file(ckpt).ok();
+    std::fs::remove_dir_all(ckpt.parent().unwrap()).ok();
 }
